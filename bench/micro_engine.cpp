@@ -15,7 +15,9 @@
 #include <string>
 #include <thread>
 
+#include "fault/channel.hpp"
 #include "fault/injector.hpp"
+#include "fec/adapt.hpp"
 #include "fec/codec.hpp"
 #include "obs/live/publisher.hpp"
 #include "net/network.hpp"
@@ -1078,6 +1080,39 @@ void BM_FecDecodeBurst(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(ops * kFrame));
 }
 BENCHMARK(BM_FecDecodeBurst);
+
+void BM_FecFitRefresh(benchmark::State& state) {
+  // The FEC sink's online Gilbert fit (DESIGN.md §15): each op is one loss
+  // indicator pushed (per received symbol) plus one refresh() (per feedback
+  // report) over a full `Arg`-deep record. The fitter slides its transition
+  // counts instead of re-scanning the record, so ns/op must be flat across
+  // the two depths. The ring is sized at construction; `allocs_per_op` must
+  // be 0.00.
+  const auto window = static_cast<std::size_t>(state.range(0));
+  // A pre-drawn bursty loss pattern, so the op times the fitter, not an RNG.
+  std::vector<std::uint8_t> pattern(4096);
+  fault::GilbertChannel channel(0.02, 0.25, 1.0, util::Rng(11));
+  for (auto& v : pattern) v = channel.next_lost() ? 1 : 0;
+  fec::AdaptiveFitter fitter(window);
+  std::size_t i = 0;
+  for (std::size_t n = 0; n < window; ++n, i = (i + 1) % pattern.size()) {
+    fitter.push(pattern[i] != 0);
+  }
+  std::uint64_t ops = 0;
+  const std::uint64_t allocs_before = g_heap_allocs.load();
+  for (auto _ : state) {
+    fitter.push(pattern[i] != 0);
+    i = (i + 1) % pattern.size();
+    benchmark::DoNotOptimize(fitter.refresh());
+    ++ops;
+  }
+  const std::uint64_t allocs = g_heap_allocs.load() - allocs_before;
+  state.counters["allocs_per_op"] =
+      static_cast<double>(allocs) / static_cast<double>(ops == 0 ? 1 : ops);
+  state.counters["allocs_total"] = static_cast<double>(allocs);
+  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+}
+BENCHMARK(BM_FecFitRefresh)->Arg(64)->Arg(2048);
 
 }  // namespace
 

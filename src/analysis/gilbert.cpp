@@ -18,29 +18,26 @@ double GilbertFit::burstiness_vs_bernoulli() const {
   return bernoulli_burst > 0.0 && fitted > 0.0 ? fitted / bernoulli_burst : 0.0;
 }
 
-GilbertFit fit_gilbert(const std::vector<bool>& lost) {
+GilbertFit GilbertCounts::fit() const {
   GilbertFit out;
   out.low_confidence = true;
-  if (lost.size() < 2) return out;
-
-  std::size_t losses = 0;
-  std::size_t gb = 0, gg = 0, bg = 0, bb = 0;
-  for (std::size_t i = 0; i + 1 < lost.size(); ++i) {
-    const bool a = lost[i];
-    const bool b = lost[i + 1];
-    if (!a && b) ++gb;
-    else if (!a && !b) ++gg;
-    else if (a && !b) ++bg;
-    else ++bb;
-  }
-  for (bool l : lost) losses += l ? 1 : 0;
-
-  out.loss_rate = static_cast<double>(losses) / static_cast<double>(lost.size());
+  if (length < 2) return out;
+  out.loss_rate = static_cast<double>(losses) / static_cast<double>(length);
   if (gb + gg > 0) out.p_good_to_bad = static_cast<double>(gb) / static_cast<double>(gb + gg);
   if (bg + bb > 0) out.p_bad_to_good = static_cast<double>(bg) / static_cast<double>(bg + bb);
   out.state_changes = gb + bg;
   out.low_confidence = out.state_changes < 2;
   return out;
+}
+
+GilbertFit fit_gilbert(const std::vector<bool>& lost) {
+  GilbertCounts c;
+  c.length = lost.size();
+  for (std::size_t i = 0; i < lost.size(); ++i) {
+    if (lost[i]) ++c.losses;
+    if (i > 0) ++c.transition(lost[i - 1], lost[i]);
+  }
+  return c.fit();
 }
 
 std::vector<std::size_t> loss_run_lengths(const std::vector<bool>& lost) {

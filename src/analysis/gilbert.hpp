@@ -37,6 +37,27 @@ struct GilbertFit {
   [[nodiscard]] double burstiness_vs_bernoulli() const;
 };
 
+/// Sufficient statistics of the fit: the maximum-likelihood estimate
+/// depends on a loss record only through its length, its losses and its
+/// four transition counts (g = delivered, b = lost; `gb` counts
+/// delivered-then-lost pairs). fit_gilbert() and the online fitter
+/// (fec::AdaptiveFitter, which keeps these counts as its window slides) both
+/// go through fit(), so they agree bit for bit over the same record.
+struct GilbertCounts {
+  std::size_t length = 0;
+  std::size_t losses = 0;
+  std::size_t gg = 0, gb = 0, bg = 0, bb = 0;
+
+  /// The count of `from` -> `to` transitions.
+  [[nodiscard]] std::size_t& transition(bool from, bool to) {
+    return from ? (to ? bb : bg) : (to ? gb : gg);
+  }
+
+  /// Requires length >= 2 for a fit; shorter records come back zeroed and
+  /// low_confidence.
+  [[nodiscard]] GilbertFit fit() const;
+};
+
 /// Fit from a per-packet loss indicator sequence (true = lost), in send
 /// order. Requires at least 2 packets; degenerate sequences (no losses or
 /// all losses) produce zero transition probabilities on the missing side.

@@ -2,30 +2,37 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace lossburst::fec {
 
 AdaptiveFitter::AdaptiveFitter(std::size_t window) {
-  // lossburst-lint: allow(datapath-alloc): one-time ring/scratch pre-size
+  if (window < 2) throw std::invalid_argument("AdaptiveFitter: window must be >= 2");
+  // lossburst-lint: allow(datapath-alloc): one-time ring pre-size
   ring_.assign(window, 0);
-  scratch_.reserve(window);
 }
 
 void AdaptiveFitter::push(bool lost) {
+  const std::size_t n = ring_.size();
+  const std::size_t newest = head_ == 0 ? n - 1 : head_ - 1;
+  if (counts_.length == n) {
+    // Full: the oldest entry (at head_) leaves, with its transition into
+    // the next one.
+    const bool oldest = ring_[head_] != 0;
+    const std::size_t next = head_ + 1 == n ? 0 : head_ + 1;
+    --counts_.transition(oldest, ring_[next] != 0);
+    if (oldest) --counts_.losses;
+    --counts_.length;
+  }
+  if (counts_.length > 0) ++counts_.transition(ring_[newest] != 0, lost);
+  if (lost) ++counts_.losses;
+  ++counts_.length;
   ring_[head_] = lost ? 1 : 0;
-  head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
-  if (count_ < ring_.size()) ++count_;
+  head_ = head_ + 1 == n ? 0 : head_ + 1;
 }
 
 const analysis::GilbertFit& AdaptiveFitter::refresh() {
-  scratch_.clear();
-  const std::size_t start = count_ < ring_.size() ? 0 : head_;
-  for (std::size_t i = 0; i < count_; ++i) {
-    std::size_t idx = start + i;
-    if (idx >= ring_.size()) idx -= ring_.size();
-    scratch_.push_back(ring_[idx] != 0);
-  }
-  const analysis::GilbertFit candidate = analysis::fit_gilbert(scratch_);
+  const analysis::GilbertFit candidate = counts_.fit();
   if (candidate.low_confidence && have_fit_) {
     // Hold the last trustworthy estimate; the degenerate candidate would
     // slew p/q to 0 and whipsaw the controller.

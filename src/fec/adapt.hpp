@@ -3,9 +3,12 @@
 // The closed loop the paper's "implications" section asks for: the
 // *receiver* maintains a bounded record of per-symbol loss indicators
 // (gap-detected against the deterministic source schedule), periodically
-// runs analysis::fit_gilbert over it, and feeds the fitted (p, q) back to
-// the sender. The *sender*-side RepairController turns the fit into three
-// knobs:
+// fits a Gilbert model to it, and feeds the fitted (p, q) back to the
+// sender. The record's transition counts (analysis::GilbertCounts) are
+// updated as each indicator enters and the oldest leaves, so each push and
+// each fit costs O(1) however deep the record, and the fit is bit-identical
+// to analysis::fit_gilbert over the same record. The *sender*-side
+// RepairController turns the fit into three knobs:
 //   - repair rate: stationary loss times the fitted mean burst length times
 //     a safety margin, capped by the redundancy budget. The burst factor is
 //     the point: a burst of B erasures needs B innovative repairs before the
@@ -40,8 +43,14 @@ namespace lossburst::fec {
 /// Bounded loss-record ring + hold-last Gilbert fitting (receiver side).
 class AdaptiveFitter {
  public:
-  explicit AdaptiveFitter(std::size_t window = 2048);
+  /// Loss-record depth of the FEC sink's fitter.
+  static constexpr std::size_t kDefaultWindow = 2048;
 
+  /// Throws std::invalid_argument for a window below 2: a one-entry record
+  /// holds no transition, so it can never yield a fit.
+  explicit AdaptiveFitter(std::size_t window = kDefaultWindow);
+
+  /// Appends one indicator, retiring the oldest once the window is full.
   void push(bool lost);
 
   /// Re-fit over the current record. Low-confidence fits (too short / too
@@ -51,13 +60,14 @@ class AdaptiveFitter {
   [[nodiscard]] const analysis::GilbertFit& current() const { return fit_; }
   /// True when the last refresh() held the previous estimate.
   [[nodiscard]] bool held() const { return held_; }
-  [[nodiscard]] std::size_t recorded() const { return count_; }
+  /// Counts over the current record, oldest to newest: counts().fit() is
+  /// the candidate refresh() weighs before the hold-last rule.
+  [[nodiscard]] const analysis::GilbertCounts& counts() const { return counts_; }
 
  private:
   std::vector<std::uint8_t> ring_;
-  std::vector<bool> scratch_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
+  std::size_t head_ = 0;  ///< next slot to write; the oldest once full
+  analysis::GilbertCounts counts_;
   analysis::GilbertFit fit_;
   bool have_fit_ = false;
   bool held_ = false;

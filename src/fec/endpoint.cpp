@@ -245,8 +245,7 @@ FecSink::FecSink(sim::Simulator& sim, FlowId flow, FecParams params)
     : sim_(sim),
       flow_(flow),
       params_(params),
-      decoder_(std::max(params.window_cap, params.block_k)),
-      fitter_(params.fit_window) {
+      decoder_(std::max(params.window_cap, params.block_k)) {
   params_.window_cap = std::max(params_.window_cap, params_.block_k);
   if (params_.mode == FecMode::kBlock) decoder_.set_generation(params_.block_k);
   // lossburst-lint: allow(datapath-alloc): one-time per-symbol log pre-size

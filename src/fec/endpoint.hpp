@@ -73,7 +73,6 @@ struct FecParams {
   Duration nack_backoff = Duration::millis(250);
   RepairPolicy policy{};          ///< adaptive controller policy
   std::uint64_t seed = 0x5eedfecULL;  ///< coefficient-stream seed base
-  std::size_t fit_window = 2048;  ///< sink loss-record depth for fitting
 };
 
 class FecSink;
@@ -195,7 +194,7 @@ class FecSink final : public net::Endpoint {
   const Route* rev_route_ = nullptr;
   net::Endpoint* source_ = nullptr;
   WindowDecoder decoder_;
-  AdaptiveFitter fitter_;
+  AdaptiveFitter fitter_;                ///< kDefaultWindow-deep loss record
   std::vector<std::uint8_t> received_;   ///< systematic copy present / spanned
   std::vector<TimePoint> deliver_at_;    ///< in-order release times
   std::vector<TimePoint> last_nack_;     ///< per-symbol NACK pacing gate

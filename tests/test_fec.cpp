@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/fec_experiment.hpp"
@@ -304,6 +305,84 @@ TEST(AdaptiveFitterTest, HoldsLastTrustworthyEstimateOverDegenerateRecords) {
   EXPECT_EQ(held.loss_rate, first.loss_rate);
 }
 
+TEST(AdaptiveFitterTest, RejectsWindowsBelowTwo) {
+  // A zero-entry ring has no slot to write, and a one-entry record holds no
+  // transition, so it could never produce a fit.
+  EXPECT_THROW(fec::AdaptiveFitter(0), std::invalid_argument);
+  EXPECT_THROW(fec::AdaptiveFitter(1), std::invalid_argument);
+  fec::AdaptiveFitter two(2);
+  two.push(true);
+  two.push(false);
+  two.push(true);
+  EXPECT_EQ(two.counts().length, 2u);
+  EXPECT_EQ(two.counts().bg, 0u);
+  EXPECT_EQ(two.counts().gb, 1u);
+}
+
+// The fitter slides its transition counts instead of re-scanning the ring.
+// After every push, its candidate fit must equal the batch fit over the
+// record it holds, unrolled oldest to newest, bit for bit. Every stream is
+// 8192 indicators long: each window fills and then wraps at least 3 times.
+TEST(AdaptiveFitterTest, SlidingCountsMatchBatchFitAfterEveryPush) {
+  constexpr std::size_t kStream = 4 * fec::AdaptiveFitter::kDefaultWindow;
+  struct Record {
+    const char* name;
+    std::vector<bool> (*make)();
+  };
+  const Record records[] = {
+      {"bernoulli",
+       [] {
+         util::Rng rng(5);
+         std::vector<bool> v(kStream);
+         for (std::size_t i = 0; i < v.size(); ++i) v[i] = rng.chance(0.1);
+         return v;
+       }},
+      {"gilbert",
+       [] {
+         fault::GilbertChannel ch(0.005, 0.25, 1.0, util::Rng(7));
+         std::vector<bool> v(kStream);
+         for (std::size_t i = 0; i < v.size(); ++i) v[i] = ch.next_lost();
+         return v;
+       }},
+      {"alternating",
+       [] {
+         std::vector<bool> v(kStream);
+         for (std::size_t i = 0; i < v.size(); ++i) v[i] = i % 2 == 1;
+         return v;
+       }},
+      {"all-lost", [] { return std::vector<bool>(kStream, true); }},
+      {"all-good", [] { return std::vector<bool>(kStream, false); }},
+  };
+  for (const std::size_t window : {std::size_t{2}, std::size_t{3}, std::size_t{64},
+                                   fec::AdaptiveFitter::kDefaultWindow}) {
+    for (const Record& rec : records) {
+      const std::vector<bool> stream = rec.make();
+      fec::AdaptiveFitter fitter(window);
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        fitter.push(stream[i]);
+        const std::size_t first = i + 1 > window ? i + 1 - window : 0;
+        const std::vector<bool> record(stream.begin() + static_cast<std::ptrdiff_t>(first),
+                                            stream.begin() + static_cast<std::ptrdiff_t>(i + 1));
+        const analysis::GilbertFit batch = analysis::fit_gilbert(record);
+        const analysis::GilbertFit online = fitter.counts().fit();
+        SCOPED_TRACE(testing::Message() << rec.name << " window " << window << " push " << i);
+        EXPECT_EQ(online.p_good_to_bad, batch.p_good_to_bad);
+        EXPECT_EQ(online.p_bad_to_good, batch.p_bad_to_good);
+        EXPECT_EQ(online.loss_rate, batch.loss_rate);
+        EXPECT_EQ(online.state_changes, batch.state_changes);
+        EXPECT_EQ(online.low_confidence, batch.low_confidence);
+        // A confident candidate passes through refresh() unchanged.
+        const analysis::GilbertFit& live = fitter.refresh();
+        if (!batch.low_confidence) {
+          EXPECT_EQ(live.p_good_to_bad, batch.p_good_to_bad);
+        }
+        // One diverging push is enough; don't report the thousands after it.
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
 TEST(RepairControllerTest, BurstScaledProvisioningAndClustering) {
   fec::RepairPolicy pol;  // margin 2, budget 0.125, group mult 1.5
   fec::RepairController ctl(pol, 128, 0.125, 64);
@@ -457,6 +536,63 @@ TEST(FecDeterminismTest, ByteIdenticalSerialVsThreadPool) {
   // Digest sensitivity: a different repair discipline moves it.
   EXPECT_NE(core::run_fec_stream(faulted_config(fec::FecMode::kArq)).digest,
             solo.digest);
+}
+
+// Pinned end-to-end outputs. The sink fits over its last 2048 loss
+// indicators; 8192 symbols fill that ring and wrap it three more times, so
+// a slip in how old entries leave the fit moves these values: the digest
+// through the adaptive controller, and every row through the sink's final
+// fit. The constants were recorded with a fitter that re-scanned its whole
+// ring on every report; the loss rates are losses over the final
+// 2048-entry record.
+core::FecRunConfig pinned_config(fec::FecMode mode, bool flap) {
+  core::FecRunConfig cfg;
+  cfg.seed = 21;
+  cfg.fec.mode = mode;
+  cfg.fec.symbols = 8192;
+  cfg.fec.interval = Duration::millis(1);
+  cfg.horizon = Duration::seconds(60);
+  if (flap) {
+    fault::FlapSpec f;
+    f.link = "path.fwd";
+    f.at_s = 2.0;
+    f.down_s = 0.8;
+    f.up_s = 1.6;
+    f.cycles = 2;
+    f.policy = fault::DownPolicy::kDrop;
+    cfg.plan.flaps.push_back(f);
+  } else {
+    fault::GilbertSpec g;
+    g.link = "path.fwd";
+    g.p_good_to_bad = 0.005;
+    g.p_bad_to_good = 0.25;
+    cfg.plan.gilbert.push_back(g);
+  }
+  return cfg;
+}
+
+TEST(FecDeterminismTest, PinnedOutputsAcrossFitRingWraps) {
+  struct Case {
+    const char* label;
+    fec::FecMode mode;
+    bool flap;
+    std::uint64_t digest;
+    std::size_t state_changes;
+    double loss_rate;
+  };
+  const Case cases[] = {
+      {"arq", fec::FecMode::kArq, false, 0x54ceb9068e112650ULL, 12, 15.0 / 2048},
+      {"block", fec::FecMode::kBlock, false, 0x060a0fcfe941b705ULL, 12, 8.0 / 2048},
+      {"adaptive", fec::FecMode::kSliding, false, 0x3280c625b2aeab20ULL, 8, 8.0 / 2048},
+      {"flap.adaptive", fec::FecMode::kSliding, true, 0xf97178f1608151c4ULL, 2, 796.0 / 2048},
+  };
+  for (const Case& c : cases) {
+    const core::FecRunResult r = core::run_fec_stream(pinned_config(c.mode, c.flap));
+    EXPECT_TRUE(r.completed) << c.label;
+    EXPECT_EQ(r.digest, c.digest) << c.label;
+    EXPECT_EQ(r.receiver_fit.state_changes, c.state_changes) << c.label;
+    EXPECT_EQ(r.receiver_fit.loss_rate, c.loss_rate) << c.label;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -112,6 +112,10 @@ DATAPATH_FILES = (
     "src/fec/codec.hpp",
     "src/fec/codec.cpp",
     "src/fec/endpoint.cpp",
+    # The sink's online Gilbert fit (BM_FecFitRefresh): push() runs per
+    # received symbol and refresh() per feedback report, both over counts
+    # kept in a ring sized at construction.
+    "src/fec/adapt.cpp",
 )
 
 # Files templated over the check:: sync policy (check/sync.hpp): raw std::

@@ -255,6 +255,12 @@ def main() -> int:
             "void feedback(std::function<void()> f) { f(); }\n",
             "datapath-alloc",
         )
+        expect_finding(
+            "datapath-alloc: fec fitter impl is a datapath file",
+            tmp, "src/fec/adapt.cpp",
+            "bool* per_report_copy(int n) { return new bool[n]; }\n",
+            "datapath-alloc",
+        )
 
         # ------------------------------------------------ untagged-event
         expect_finding(
