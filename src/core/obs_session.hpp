@@ -8,8 +8,6 @@
 // must still be alive when they go.
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
 #include <memory>
 
 #include "obs/export.hpp"
@@ -40,13 +38,14 @@ class ObsSession {
 
   /// Freeze the metric column set (call once every component is built) and
   /// start interval sampling. `horizon` pre-sizes the sample buffer so the
-  /// run itself allocates nothing.
+  /// run itself allocates nothing. Throws std::invalid_argument when the
+  /// configured interval is not positive.
   void start_sampling(util::Duration horizon) {
     if (!telemetry_) return;
+    const std::size_t rows = obs::series_rows(horizon, cfg_.interval);
     series_ = std::make_unique<obs::IntervalSeries>(telemetry_->registry());
-    const std::int64_t period_ns = std::max<std::int64_t>(1, cfg_.interval.ns());
-    series_->reserve(static_cast<std::size_t>(horizon.ns() / period_ns) + 2);
-    if (cfg_.live != nullptr) cfg_.live->freeze(sim_.now().ns(), period_ns);
+    series_->reserve(rows);
+    if (cfg_.live != nullptr) cfg_.live->freeze(sim_.now().ns(), cfg_.interval.ns());
     sampler_ = std::make_unique<sim::PeriodicProcess>(sim_, cfg_.interval, [this] {
       series_->sample(sim_.now());
       if (cfg_.live != nullptr) cfg_.live->publish(sim_.now().ns());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -66,6 +65,10 @@ ShardCampaignResult run_shard_campaign(const ShardCampaignConfig& cfg) {
   if (cfg.fault_backbone && cfg.regions < 2) {
     throw std::invalid_argument("run_shard_campaign: the faulted backbone needs >= 2 regions");
   }
+  const Duration tail = Duration::seconds(2);  // drain in-flight probes
+  // Sized (and a non-positive interval rejected) before anything is built.
+  const std::size_t obs_rows =
+      cfg.obs.enabled() ? obs::series_rows(cfg.duration + tail, cfg.obs.interval) : 0;
   const std::size_t R = cfg.regions;
 
   // Regional hubs spread across the PlanetLab table; synthetic sites scatter
@@ -244,7 +247,6 @@ ShardCampaignResult run_shard_campaign(const ShardCampaignConfig& cfg) {
   }
 
   snet.finalize();  // after fault attach: corruption routing needs the index
-  const Duration tail = Duration::seconds(2);  // drain in-flight probes
   const TimePoint end = TimePoint::zero() + cfg.duration + tail;
 
   // Sampling pump: per-shard interval series plus the optional live
@@ -272,15 +274,13 @@ ShardCampaignResult run_shard_campaign(const ShardCampaignConfig& cfg) {
   std::unique_ptr<sim::PeriodicProcess> sampler;
   if (cfg.obs.enabled()) {
     pump.live = cfg.obs.live;
-    pump.interval_ns = std::max<std::int64_t>(1, cfg.obs.interval.ns());
+    pump.interval_ns = cfg.obs.interval.ns();
     pump.next_ns = pump.interval_ns;
-    const auto rows =
-        static_cast<std::size_t>(end.ns() / pump.interval_ns) + 2;
     pump.series.reserve(cfg.shards);
     for (std::size_t k = 0; k < cfg.shards; ++k) {
       pump.series.push_back(
           std::make_unique<obs::IntervalSeries>(tel[k]->registry()));
-      pump.series.back()->reserve(rows);
+      pump.series.back()->reserve(obs_rows);
     }
     if (cfg.obs.live != nullptr) cfg.obs.live->freeze(0, pump.interval_ns);
     if (cfg.shards > 1) {
@@ -301,19 +301,17 @@ ShardCampaignResult run_shard_campaign(const ShardCampaignConfig& cfg) {
     snet.coordinator().set_epoch_hook(nullptr);  // pump dies with this scope
     pump.catch_up(end.ns());
     if (cfg.obs.writes_artifacts()) {
-      namespace fs = std::filesystem;
-      fs::create_directories(cfg.obs.dir);
+      const std::filesystem::path dir = cfg.obs.dir;
+      std::filesystem::create_directories(dir);
       for (std::size_t k = 0; k < cfg.shards; ++k) {
-        std::ofstream csv(fs::path(cfg.obs.dir) /
-                          (cfg.obs.prefix + "s" + std::to_string(k) +
-                           "_intervals.csv"));
-        pump.series[k]->write_csv(csv);
+        obs::write_artifact(dir / (cfg.obs.prefix + "s" + std::to_string(k) + "_intervals.csv"),
+                            [&](std::ostream& out) { pump.series[k]->write_csv(out); });
       }
       std::vector<const obs::FlightRecorder*> recs;
       recs.reserve(cfg.shards);
       for (const auto& t : tel) recs.push_back(&t->recorder());
-      std::ofstream trace(fs::path(cfg.obs.dir) / (cfg.obs.prefix + "trace.json"));
-      obs::write_chrome_trace(trace, recs);
+      obs::write_artifact(dir / (cfg.obs.prefix + "trace.json"),
+                          [&](std::ostream& out) { obs::write_chrome_trace(out, recs); });
     }
   }
 

@@ -3,14 +3,101 @@
 // identically-seeded runs emit byte-identical artifacts.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstddef>
+#include <cstdint>
+#include <filesystem>
+#include <functional>
 #include <ostream>
+#include <string_view>
 #include <vector>
 
 #include "obs/telemetry.hpp"
 #include "util/time.hpp"
 
 namespace lossburst::obs {
+
+/// The exporters' one text formatter. Text is built in a fixed 64 KiB chunk
+/// and each full chunk goes to the stream in a single write(), so an export
+/// holds at most one chunk of text and pays no ostream call per field. A
+/// string longer than a whole chunk is the one write that may exceed it.
+/// Numbers go through std::to_chars, which is specified to print what printf
+/// prints for the same format, so the bytes never depend on the locale or
+/// on stream state. Call flush() when done: nothing is written on
+/// destruction, so a stream that throws never throws from a destructor.
+class ChunkWriter {
+ public:
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
+
+  explicit ChunkWriter(std::ostream& out) : out_(out) {}
+
+  ChunkWriter& operator<<(char c) {
+    *room(1) = c;
+    ++used_;
+    return *this;
+  }
+
+  ChunkWriter& operator<<(std::string_view s) {
+    if (s.size() > kChunkBytes - used_) {
+      flush();
+      if (s.size() > kChunkBytes) {
+        out_.write(s.data(), static_cast<std::streamsize>(s.size()));
+        return *this;
+      }
+    }
+    used_ += s.copy(buf_ + used_, s.size());
+    return *this;
+  }
+
+  /// Decimal, as printf's %d / %u family prints it.
+  template <std::integral T>
+  ChunkWriter& operator<<(T v) {
+    char* p = room(kNumberBytes);
+    advance(std::to_chars(p, p + kNumberBytes, v).ptr);
+    return *this;
+  }
+
+  /// printf("%.10g", v), byte for byte.
+  void put_value(double v) {
+    char* p = room(kNumberBytes);
+    advance(std::to_chars(p, p + kNumberBytes, v, std::chars_format::general, 10).ptr);
+  }
+
+  /// printf("%lld.%0*lld", v / 10^Digits, Digits, v % 10^Digits) for
+  /// v >= 0: simulated nanoseconds as seconds (9) or microseconds (3).
+  template <int Digits>
+  void put_fixed(std::int64_t v) {
+    static_assert(Digits > 0 && Digits <= 9, "whole + '.' + Digits must fit kNumberBytes");
+    std::int64_t scale = 1;
+    for (int i = 0; i < Digits; ++i) scale *= 10;
+    char* p = room(kNumberBytes);
+    p = std::to_chars(p, p + kNumberBytes, v / scale).ptr;
+    *p++ = '.';
+    std::int64_t frac = v % scale;
+    for (int i = Digits - 1; i >= 0; --i, frac /= 10) p[i] = static_cast<char>('0' + frac % 10);
+    advance(p + Digits);
+  }
+
+  void flush() {
+    if (used_ > 0) out_.write(buf_, static_cast<std::streamsize>(used_));
+    used_ = 0;
+  }
+
+ private:
+  /// Longest number put_* prints: a 20-character int64, '.', 9 digits.
+  static constexpr std::size_t kNumberBytes = 32;
+
+  char* room(std::size_t n) {
+    if (kChunkBytes - used_ < n) flush();
+    return buf_ + used_;
+  }
+  void advance(const char* end) { used_ = static_cast<std::size_t>(end - buf_); }
+
+  std::ostream& out_;
+  std::size_t used_ = 0;
+  char buf_[kChunkBytes];
+};
 
 /// Periodically snapshots every registered metric into a pre-reserved flat
 /// buffer (sampling allocates nothing once reserved). Column set is frozen
@@ -49,8 +136,9 @@ class IntervalSeries {
 /// Format), loadable in Perfetto / chrome://tracing. Queue residency is
 /// emitted as async "b"/"e" span pairs (FIFO spans overlap, so stack-nested
 /// "X" events cannot represent them); drops/marks/delivers/dispatches as
-/// instants; cwnd changes as "C" counter tracks. Timestamps are simulated
-/// microseconds printed with fixed precision — deterministic byte-for-byte.
+/// instants; FEC repairs and decodes as instants; cwnd changes as "C"
+/// counter tracks. Timestamps are simulated microseconds printed with fixed
+/// precision — deterministic byte-for-byte.
 void write_chrome_trace(std::ostream& out, const FlightRecorder& rec);
 
 /// Multi-recorder variant for sharded runs: one trace_event process (pid)
@@ -60,9 +148,23 @@ void write_chrome_trace(std::ostream& out, const FlightRecorder& rec);
 void write_chrome_trace(std::ostream& out,
                         const std::vector<const FlightRecorder*>& shards);
 
+/// Rows an IntervalSeries needs to sample every `interval` up to `horizon`,
+/// plus a final sample at the end. Throws std::invalid_argument when
+/// `interval` is not positive: there is no sampling period to size for.
+[[nodiscard]] std::size_t series_rows(util::Duration horizon, util::Duration interval);
+
+/// The one way an artifact file is written: any file at `path` is removed,
+/// a new one is created and `write` streams the content into it. A fresh
+/// file, never a truncated or renamed-over one: replacing a file's data
+/// either way makes ext4 wait for the old data's writeback (DESIGN.md §8).
+/// Throws std::runtime_error naming `path` when the old file cannot be
+/// removed or the new one cannot be created or written.
+void write_artifact(const std::filesystem::path& path,
+                    const std::function<void(std::ostream&)>& write);
+
 /// Write every artifact the config asks for into cfg.dir (created if
 /// missing): <prefix>intervals.csv, <prefix>trace.json and, when profiling,
-/// <prefix>profile.txt. No-op when cfg.enabled() is false.
+/// <prefix>profile.txt. No-op when cfg.writes_artifacts() is false.
 void export_artifacts(const ObsConfig& cfg, const Telemetry& telemetry,
                       const IntervalSeries& series);
 

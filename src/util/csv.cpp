@@ -2,20 +2,6 @@
 
 namespace lossburst::util {
 
-void CsvWriter::write_escaped(std::string_view s) {
-  const bool needs_quote = s.find_first_of(",\"\n\r") != std::string_view::npos;
-  if (!needs_quote) {
-    *out_ << s;
-    return;
-  }
-  *out_ << '"';
-  for (char c : s) {
-    if (c == '"') *out_ << '"';
-    *out_ << c;
-  }
-  *out_ << '"';
-}
-
 void CsvWriter::row_vector(const std::vector<double>& values) {
   bool first = true;
   for (double v : values) {

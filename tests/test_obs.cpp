@@ -3,17 +3,27 @@
 // runs must produce byte-identical CSV/JSON artifacts, including when runs
 // execute concurrently on the thread pool.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <vector>
 
 #include "core/dumbbell_experiment.hpp"
+#include "core/obs_session.hpp"
 #include "net/queue.hpp"
 #include "net/trace.hpp"
 #include "obs/export.hpp"
@@ -24,6 +34,7 @@
 #include "obs/trace_ring.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -149,6 +160,160 @@ TEST(IntervalSeriesTest, CountersExportAsDeltasGaugesRaw) {
 }
 
 // ---------------------------------------------------------------------------
+// The exporters' formatter: same bytes as the printf formats it replaced
+
+// Each value on its own line, printed by printf and by one ChunkWriter.
+template <typename T, typename Put>
+void expect_lines_match(const std::vector<T>& values, const char* fmt_name, Put put_printf,
+                        void (*put_chunk)(obs::ChunkWriter&, T)) {
+  std::string want;
+  char buf[64];
+  for (const T v : values) {
+    want.append(buf, static_cast<std::size_t>(put_printf(buf, sizeof(buf), v)));
+    want += '\n';
+  }
+  std::ostringstream out;
+  obs::ChunkWriter w(out);
+  for (const T v : values) {
+    put_chunk(w, v);
+    w << '\n';
+  }
+  w.flush();
+  const std::string got = out.str();
+  if (got == want) return;
+  // Name the first value that differs.
+  std::istringstream g(got), e(want);
+  std::string gl, el;
+  for (const T v : values) {
+    std::getline(g, gl);
+    std::getline(e, el);
+    if (gl != el) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof(v));
+      ADD_FAILURE() << fmt_name << " of bits 0x" << std::hex << bits << ": printf \"" << el
+                    << "\", ChunkWriter \"" << gl << '"';
+      return;
+    }
+  }
+  ADD_FAILURE() << fmt_name << ": outputs differ in length";
+}
+
+TEST(ExportFormatTest, ValueMatchesPrintfG10) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {
+      0.0, -0.0, kInf, -kInf, kNan, -kNan, std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), DBL_MAX, -DBL_MAX, DBL_MIN, 1e10 - 1, 1e10,
+      1e10 + 1, 9999999999.5, 99999999995.0, 1e-4, 1e-5, 0.1, 1.0 / 3.0, 2.5, 12.0, -7.0};
+  util::Rng rng(0x5eed);
+  // Random bit patterns reach every exponent, subnormals and NaN payloads.
+  for (int i = 0; i < (1 << 20); ++i) {
+    const std::uint64_t bits = rng.next();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    values.push_back(v);
+  }
+  // Counter deltas and gauges: integers and values of modest magnitude.
+  for (int i = 0; i < (1 << 16); ++i) {
+    values.push_back(static_cast<double>(rng.uniform_int(0, 1'000'000'000)));
+    values.push_back(rng.uniform(-1e6, 1e6));
+  }
+  expect_lines_match<double>(
+      values, "%.10g",
+      [](char* buf, std::size_t n, double v) { return std::snprintf(buf, n, "%.10g", v); },
+      [](obs::ChunkWriter& w, double v) { w.put_value(v); });
+}
+
+TEST(ExportFormatTest, TimeColumnsMatchPrintf) {
+  std::vector<std::int64_t> ns;
+  for (std::int64_t v = 0; v < 3000; ++v) ns.push_back(v);
+  for (std::int64_t p = 10; p <= 1'000'000'000'000'000; p *= 10) {
+    ns.push_back(p - 1);
+    ns.push_back(p);
+    ns.push_back(p + 1);
+  }
+  util::Rng rng(0x71e);
+  for (int i = 0; i < (1 << 18); ++i) ns.push_back(rng.uniform_int(0, 1'000'000'000'000'000));
+  // The interval CSV's time column: seconds with nanosecond digits.
+  expect_lines_match<std::int64_t>(
+      ns, "%lld.%09lld",
+      [](char* buf, std::size_t n, std::int64_t v) {
+        return std::snprintf(buf, n, "%lld.%09lld", static_cast<long long>(v / 1'000'000'000),
+                             static_cast<long long>(v % 1'000'000'000));
+      },
+      [](obs::ChunkWriter& w, std::int64_t v) { w.put_fixed<9>(v); });
+  // The Chrome trace's ts: microseconds with nanosecond digits.
+  expect_lines_match<std::int64_t>(
+      ns, "%lld.%03lld",
+      [](char* buf, std::size_t n, std::int64_t v) {
+        return std::snprintf(buf, n, "%lld.%03lld", static_cast<long long>(v / 1000),
+                             static_cast<long long>(v % 1000));
+      },
+      [](obs::ChunkWriter& w, std::int64_t v) { w.put_fixed<3>(v); });
+}
+
+TEST(ExportFormatTest, StringsLongerThanAChunkPassThroughWhole) {
+  const std::string big(3 * obs::ChunkWriter::kChunkBytes + 7, 'n');
+  std::ostringstream out;
+  obs::ChunkWriter w(out);
+  w << "ab" << big << 'c' << std::string_view(big).substr(5) << std::uint16_t{42};
+  w.flush();
+  EXPECT_EQ(out.str(), "ab" + big + "c" + big.substr(5) + "42");
+}
+
+// Records every write the formatter hands to its stream.
+class CountingBuf : public std::streambuf {
+ public:
+  std::string bytes;
+  std::size_t writes = 0;
+  std::size_t largest = 0;
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    ++writes;
+    largest = std::max(largest, static_cast<std::size_t>(n));
+    bytes.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (traits_type::eq_int_type(c, traits_type::eof())) return traits_type::not_eof(c);
+    const char ch = traits_type::to_char_type(c);
+    xsputn(&ch, 1);
+    return c;
+  }
+};
+
+TEST(IntervalSeriesTest, WriteCsvHandsTheStreamWholeChunks) {
+  obs::Registry reg;
+  std::vector<double> gauges(48, 0.0);
+  int owner = 0;
+  for (std::size_t i = 0; i < gauges.size(); ++i) {
+    reg.add(obs::MetricKind::kGauge, "link.bottleneck.fwd.gauge" + std::to_string(i),
+            [](const void* c) { return *static_cast<const double*>(c); }, &gauges[i], &owner);
+  }
+  obs::IntervalSeries series(reg);
+  util::Rng rng(3);
+  series.reserve(2000);
+  for (std::int64_t r = 0; r < 2000; ++r) {
+    for (double& g : gauges) g = rng.uniform(-1e9, 1e9);
+    series.sample(TimePoint(r * 100'000'000));
+  }
+  std::ostringstream plain;
+  series.write_csv(plain);
+  ASSERT_GT(plain.str().size(), 16 * obs::ChunkWriter::kChunkBytes);
+
+  CountingBuf buf;
+  std::ostream out(&buf);
+  series.write_csv(out);
+  EXPECT_EQ(buf.bytes, plain.str());
+  // No write exceeds a chunk plus one field (a field is at most a 20-digit
+  // integer, a '.' and 9 digits), and the text goes out in whole chunks,
+  // not one write per field.
+  EXPECT_LE(buf.largest, obs::ChunkWriter::kChunkBytes + 32);
+  EXPECT_LE(buf.writes, buf.bytes.size() / (obs::ChunkWriter::kChunkBytes - 32) + 1);
+}
+
+// ---------------------------------------------------------------------------
 // Chrome trace exporter
 
 struct ChromeEvent {
@@ -243,6 +408,26 @@ TEST(ChromeTraceTest, UnmatchedOpensAreClosedAtEnd) {
   std::ostringstream out;
   obs::write_chrome_trace(out, rec);
   expect_spans_paired(parse_chrome_trace(out.str()));
+}
+
+TEST(ChromeTraceTest, EmitsFecRepairAndDecodeInstants) {
+  obs::FlightRecorder rec;
+  rec.configure(16, obs::kAllKinds);
+  const std::uint16_t tf = rec.register_track("fec.src");
+  rec.record(obs::RecordKind::kFecRepair, 4'000, tf, obs::pack_packet(3, 17), 8);
+  rec.record(obs::RecordKind::kFecDecode, 5'250, tf, obs::pack_packet(3, 18), 2);
+
+  std::ostringstream out;
+  obs::write_chrome_trace(out, rec);
+  const std::string json = out.str();
+  EXPECT_NE(json.find(R"({"cat":"pkt","name":"fec.repair f3#17","ph":"i","s":"t","pid":1,)"
+                      R"("tid":1,"ts":4.000})"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find(R"({"cat":"pkt","name":"fec.decode f3#18","ph":"i","s":"t","pid":1,)"
+                      R"("tid":1,"ts":5.250})"),
+            std::string::npos)
+      << json;
 }
 
 // ---------------------------------------------------------------------------
@@ -414,6 +599,93 @@ TEST(ObsExportTest, RunWritesWellFormedArtifacts) {
   }
   expect_spans_paired(events);
   std::filesystem::remove_all(dir);
+}
+
+TEST(ObsExportTest, ReexportLandsInAFreshFileHoldingOnlyTheNewBytes) {
+  const auto dir = std::filesystem::temp_directory_path() / "lossburst_obs_fresh";
+  std::filesystem::remove_all(dir);
+  obs::ObsConfig cfg;
+  cfg.dir = dir.string();
+  cfg.prefix = "x_";
+  obs::Telemetry telemetry;
+  std::uint64_t events = 0;
+  int owner = 0;
+  telemetry.registry().add_counter("events", &events, &owner);
+
+  // The shorter series is the longer one's first rows, so an in-place
+  // rewrite that kept the old tail would show.
+  obs::IntervalSeries longer(telemetry.registry());
+  obs::IntervalSeries shorter(telemetry.registry());
+  for (std::int64_t r = 0; r < 5000; ++r) {
+    events += static_cast<std::uint64_t>(r);
+    longer.sample(TimePoint(r * 1'000'000));
+    if (r < 100) shorter.sample(TimePoint(r * 1'000'000));
+  }
+  std::ostringstream long_csv, short_csv;
+  longer.write_csv(long_csv);
+  shorter.write_csv(short_csv);
+
+  obs::export_artifacts(cfg, telemetry, longer);
+  const auto csv = dir / "x_intervals.csv";
+  ASSERT_EQ(slurp(csv), long_csv.str());
+  struct stat before {};
+  ASSERT_EQ(::stat(csv.c_str(), &before), 0);
+  std::ifstream held(csv, std::ios::binary);  // keeps the old file's inode alive
+
+  obs::export_artifacts(cfg, telemetry, shorter);
+  EXPECT_EQ(slurp(csv), short_csv.str());
+  struct stat after {};
+  ASSERT_EQ(::stat(csv.c_str(), &after), 0);
+  EXPECT_NE(after.st_ino, before.st_ino);
+  // The reader of the old file still sees all of it: it was replaced, not
+  // truncated.
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(held), {}), long_csv.str());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ObsExportTest, WriteArtifactThrowsNamingThePath) {
+  const auto dir = std::filesystem::temp_directory_path() / "lossburst_obs_fail";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "busy" / "inside");
+  auto write_x = [](std::ostream& out) { out << "x\n"; };
+  auto expect_throw_naming = [&](const std::filesystem::path& path,
+                                 const std::function<void(std::ostream&)>& write) {
+    try {
+      obs::write_artifact(path, write);
+      ADD_FAILURE() << "no exception for " << path;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path.string()), std::string::npos) << e.what();
+    }
+  };
+  // The old "file" cannot be removed: it is a non-empty directory.
+  expect_throw_naming(dir / "busy", write_x);
+  // The new file cannot be created: a path ending in '/' names a directory.
+  expect_throw_naming(dir / "new" / "", write_x);
+  // The content cannot be written.
+  expect_throw_naming(dir / "bad.csv",
+                      [](std::ostream& out) { out.setstate(std::ios::badbit); });
+  // A good write replaces nothing else.
+  obs::write_artifact(dir / "ok.csv", write_x);
+  EXPECT_EQ(slurp(dir / "ok.csv"), "x\n");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ObsSessionTest, RejectsNonPositiveSamplingInterval) {
+  for (const Duration interval : {Duration::zero(), Duration::millis(-100)}) {
+    sim::Simulator sim(5);
+    obs::ObsConfig cfg;
+    cfg.dir = (std::filesystem::temp_directory_path() / "lossburst_obs_unused").string();
+    cfg.interval = interval;
+    core::ObsSession session(sim, cfg);
+    EXPECT_THROW(session.start_sampling(Duration::seconds(60)), std::invalid_argument)
+        << interval.ns();
+    EXPECT_EQ(session.series(), nullptr) << "nothing may be reserved first";
+  }
+  // The experiments surface it before running anything.
+  core::DumbbellExperimentConfig cfg = small_obs_config(
+      (std::filesystem::temp_directory_path() / "lossburst_obs_unused").string());
+  cfg.obs.interval = Duration::zero();
+  EXPECT_THROW(core::run_dumbbell_experiment(cfg), std::invalid_argument);
 }
 
 TEST(ObsExportTest, SameSeedRunsAreByteIdenticalEvenOnThreadPool) {

@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/gilbert.hpp"
@@ -178,6 +183,51 @@ TEST(ShardCampaign, ByteIdenticalAcrossShardCounts) {
     }
     EXPECT_GT(run.epochs, 0u) << "shards = " << k;
   }
+}
+
+inet::ShardCampaignConfig small_observed_campaign(const std::filesystem::path& dir) {
+  inet::ShardCampaignConfig cfg;
+  cfg.seed = 5;
+  cfg.shards = 2;
+  cfg.regions = 4;
+  cfg.sites = 16;
+  cfg.flows = 8;
+  cfg.onoff_per_region = 0;
+  cfg.probe_interval = 20_ms;
+  cfg.duration = 1_s;
+  cfg.obs.dir = dir.string();
+  cfg.obs.prefix = "c_";
+  cfg.obs.interval = 100_ms;
+  return cfg;
+}
+
+TEST(ShardCampaign, WritesPerShardArtifacts) {
+  const auto dir = std::filesystem::temp_directory_path() / "lossburst_shard_obs";
+  std::filesystem::remove_all(dir);
+  const auto run = inet::run_shard_campaign(small_observed_campaign(dir));
+  EXPECT_GT(run.probes_received, 0u);
+  for (const char* name : {"c_s0_intervals.csv", "c_s1_intervals.csv"}) {
+    std::ifstream csv(dir / name);
+    std::string header;
+    ASSERT_TRUE(std::getline(csv, header)) << name;
+    EXPECT_EQ(header.rfind("time_s,", 0), 0u) << name;
+  }
+  std::ifstream trace(dir / "c_trace.json");
+  const std::string json{std::istreambuf_iterator<char>(trace), {}};
+  EXPECT_NE(json.find(R"("args":{"name":"shard 0"})"), std::string::npos);
+  EXPECT_NE(json.find(R"("args":{"name":"shard 1"})"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardCampaign, RejectsNonPositiveObsInterval) {
+  const auto dir = std::filesystem::temp_directory_path() / "lossburst_shard_obs_bad";
+  std::filesystem::remove_all(dir);
+  for (const Duration interval : {Duration::zero(), -1_ms}) {
+    inet::ShardCampaignConfig cfg = small_observed_campaign(dir);
+    cfg.obs.interval = interval;
+    EXPECT_THROW(inet::run_shard_campaign(cfg), std::invalid_argument) << interval.ns();
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir)) << "rejected before anything was written";
 }
 
 TEST(ShardCampaign, GilbertRecoveryIsShardCountIndependent) {

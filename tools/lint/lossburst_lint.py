@@ -34,6 +34,12 @@ datapath honest (DESIGN.md §9):
                    primitive silently escapes every model-check suite.
                    std::memory_order and std::lock_guard are fine — they are
                    vocabulary, not primitives.
+  raw-file         Library code (src/) creates files only through
+                   obs::write_artifact in the export writer
+                   (ARTIFACT_WRITER): no std::ofstream / std::fstream /
+                   fopen anywhere else. That one function replaces a file
+                   with a fresh one (DESIGN.md §8) and throws on a failed
+                   create or write instead of losing the artifact silently.
   seq-cst          load()/store() with a defaulted (seq_cst) memory order in
                    datapath files needs an explicit order or an
                    allow(seq-cst) justification: accidental seq_cst is a
@@ -131,12 +137,16 @@ SHIM_FILES = (
     "src/serve/control.hpp",
 )
 
+# The one file in src/ that may open a file for writing (raw-file).
+ARTIFACT_WRITER = "src/obs/export.cpp"
+
 RULES = (
     "wall-clock",
     "hash-iteration",
     "datapath-alloc",
     "untagged-event",
     "raw-stream",
+    "raw-file",
     "raw-sync",
     "seq-cst",
 )
@@ -160,6 +170,13 @@ ALLOC_RE = re.compile(
 
 RAW_STREAM_RE = re.compile(
     r"std\s*::\s*(?:cerr|cout)\b|(?<![\w.])(?:std\s*::\s*)?(?:printf|fprintf|puts)\s*\("
+)
+
+# ifstream and friends only read, so the o?fstream stem must not follow an
+# identifier character: "ifstream" never matches.
+RAW_FILE_RE = re.compile(
+    r"(?<![\w:])(?:std\s*::\s*)?(?:basic_)?o?fstream\b"
+    r"|(?<![\w.])(?:std\s*::\s*)?fopen\s*\("
 )
 
 UNORDERED_DECL_RE = re.compile(
@@ -490,6 +507,21 @@ class FileScanner:
                     "destination stay controllable",
                 )
 
+    def check_raw_file(self) -> None:
+        if not self.path.startswith("src/") or self.path == ARTIFACT_WRITER:
+            return
+        for idx, code in enumerate(self.code_lines, start=1):
+            if code.lstrip().startswith("#"):  # #include <fstream>
+                continue
+            if RAW_FILE_RE.search(code):
+                self.report(
+                    idx,
+                    "raw-file",
+                    "file opened for writing outside the export writer; "
+                    "write artifacts through obs::write_artifact so they "
+                    "land in a fresh file and a failed write throws",
+                )
+
     def run(self) -> List[Finding]:
         self.check_annotations()
         self.check_wall_clock()
@@ -499,6 +531,7 @@ class FileScanner:
         self.check_raw_sync()
         self.check_seq_cst()
         self.check_raw_stream()
+        self.check_raw_file()
         return self.findings
 
 

@@ -310,6 +310,50 @@ def main() -> int:
             "void report() { std::cout << \"ok\\n\"; }\n",
         )
 
+        # ------------------------------------------------ raw-file
+        expect_finding(
+            "raw-file: std::ofstream outside the export writer trips",
+            tmp, "src/inet/fix_file.cpp",
+            "#include <fstream>\n"
+            "void dump() { std::ofstream f(\"out.csv\"); f << 1; }\n",
+            "raw-file",
+        )
+        expect_finding(
+            "raw-file: fopen outside the export writer trips",
+            tmp, "src/core/fix_fopen.cpp",
+            "#include <cstdio>\n"
+            "void dump() { std::FILE* f = std::fopen(\"out.csv\", \"w\"); (void)f; }\n",
+            "raw-file",
+        )
+        expect_clean(
+            "raw-file: the export writer and ifstream readers pass",
+            tmp, "src/obs/export.cpp",
+            "#include <fstream>\n"
+            "void save() { std::ofstream f(\"a.csv\"); }\n"
+            "void load() { std::ifstream f(\"a.csv\"); std::basic_ifstream<char> g; }\n",
+        )
+        expect_clean(
+            "raw-file: reading elsewhere in src/ passes",
+            tmp, "src/fault/fix_reader.cpp",
+            "#include <fstream>\n"
+            "void load() { std::ifstream f(\"plan.txt\"); }\n",
+        )
+        expect_clean(
+            "raw-file: annotated escape hatch passes",
+            tmp, "src/util/fix_csv_file.hpp",
+            "#include <fstream>\n"
+            "struct F {\n"
+            "  // lossburst-lint: allow(raw-file): util sits below obs\n"
+            "  std::ofstream file_;\n"
+            "};\n",
+        )
+        expect_clean(
+            "raw-file: tests may write files",
+            tmp, "tests/fix_file_test.cpp",
+            "#include <fstream>\n"
+            "void fixture() { std::ofstream f(\"in.plan\"); }\n",
+        )
+
         # ------------------------------------------------ raw-sync
         expect_finding(
             "raw-sync: std::atomic in a shim-converted file trips",
